@@ -143,6 +143,9 @@ let client_cmd =
         Printf.eprintf "cannot read trace: %s\n" msg;
         exit 2
     in
+    (* a daemon at capacity may close before our Hello lands: take the
+       EPIPE and read its reject instead of dying of SIGPIPE *)
+    ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
     match Serve_client.run ~chunk ~shards ~predict ~addr bytes with
     | exception Unix.Unix_error (e, _, _) ->
         Printf.eprintf "pint_serve: connection failed: %s\n" (Unix.error_message e);

@@ -104,13 +104,19 @@ let singletons stages = List.map (fun s -> [ s ]) stages
    one writing domain for its whole lifetime.  Only the handoff is
    synchronized: a submission enqueues under the worker's mutex, and the
    worker adopts pending groups into its private active set.  Completion
-   flows back through one atomic per slot. *)
+   flows back through one atomic per slot, plus one countdown per lease
+   whose last decrement fires the lease's [on_done]. *)
+
+(* Shared by every slot of one lease: slots not yet retired, and the
+   callback the retirement of the last one fires. *)
+type countdown = { cd_left : int Atomic.t; cd_on_done : unit -> unit }
 
 type slot = {
   sl_stages : Stage.t array;
   sl_finished : bool array; (* adopting worker's private done flags *)
   mutable sl_remaining : int;
   sl_done : bool Atomic.t; (* set by the worker when the last stage is Done *)
+  sl_lease : countdown;
 }
 
 type worker = {
@@ -171,6 +177,9 @@ let run_worker stop w =
           if sl.sl_remaining = 0 then begin
             Atomic.set sl.sl_done true;
             Atomic.decr w.w_load;
+            (* every other slot of the lease set its [sl_done] before its
+               own decrement, so the last decrementer sees them all *)
+            if Atomic.fetch_and_add sl.sl_lease.cd_left (-1) = 1 then sl.sl_lease.cd_on_done ();
             false
           end
           else true)
@@ -207,8 +216,11 @@ let shared ?(rings = [||]) k =
   let domains = Array.map (fun w -> Domain.spawn (fun () -> run_worker stop w)) workers in
   { sh_workers = workers; sh_domains = domains; sh_stop = stop; sh_rr = Atomic.make 0 }
 
-let submit sh (groups : Stage.t list list) : lease =
+let submit ?(on_done = ignore) sh (groups : Stage.t list list) : lease =
   if Atomic.get sh.sh_stop then invalid_arg "Micropool.submit: pool is shutting down";
+  let lease = { cd_left = Atomic.make (List.length groups); cd_on_done = on_done } in
+  (* a lease with no groups is done on arrival *)
+  if groups = [] then on_done ();
   List.map
     (fun g ->
       let stages = Array.of_list g in
@@ -218,6 +230,7 @@ let submit sh (groups : Stage.t list list) : lease =
           sl_finished = Array.make (Array.length stages) false;
           sl_remaining = Array.length stages;
           sl_done = Atomic.make false;
+          sl_lease = lease;
         }
       in
       (* least-loaded worker; round-robin cursor breaks ties so equal-load

@@ -44,12 +44,18 @@ type lease
     is worker [i]'s obs track for park events. *)
 val shared : ?rings:Evring.t array -> int -> shared
 
-(** [submit sh groups] assigns each group to the least-loaded worker.
-    The groups' stages must not be driven by anyone else from this point;
-    they run until each reports [`Done] (for a detector: after its run's
-    [on_done] has fired and its lanes drained).
+(** [submit ?on_done sh groups] assigns each group to the least-loaded
+    worker.  The groups' stages must not be driven by anyone else from this
+    point; they run until each reports [`Done] (for a detector: after its
+    run's [on_done] has fired and its lanes drained).
+
+    [on_done] fires exactly once per lease, once {!lease_done} reads true:
+    on the worker domain that retires the lease's last group, or on the
+    caller before [submit] returns when [groups] is empty.  It runs on the
+    worker's loop, so it must be short and must not raise (a wake-up
+    write, not the follow-up work).
     @raise Invalid_argument after {!shutdown} has begun. *)
-val submit : shared -> Stage.t list list -> lease
+val submit : ?on_done:(unit -> unit) -> shared -> Stage.t list list -> lease
 
 (** True once every stage of the lease has reported [`Done]. *)
 val lease_done : lease -> bool

@@ -47,9 +47,14 @@ let run ?(chunk = default_chunk) ?(shards = 0) ?(predict = 0) ~addr trace_bytes 
     (fun () ->
       Unix.connect fd addr;
       let frames = Serve_proto.Frames.create () in
-      send_all fd
-        (Serve_proto.encode_client
-           (Serve_proto.Hello { version = Serve_proto.protocol_version; shards; predict }));
+      (* a daemon at capacity answers ['X'] on accept and may close before
+         the Hello lands: the write then fails, but the reject is already
+         here to read *)
+      (try
+         send_all fd
+           (Serve_proto.encode_client
+              (Serve_proto.Hello { version = Serve_proto.protocol_version; shards; predict }))
+       with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
       match read_frame fd frames with
       | None -> Error "connection closed during handshake"
       | Some (Serve_proto.Reject msg) -> Error msg

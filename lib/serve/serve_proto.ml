@@ -4,6 +4,7 @@ let proto_error fmt = Printf.ksprintf (fun s -> raise (Proto_error s)) fmt
 
 let protocol_version = 2
 let default_max_frame = 1 lsl 20
+let max_shards = 64
 
 type client_msg =
   | Hello of { version : int; shards : int; predict : int }

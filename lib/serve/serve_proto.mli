@@ -37,6 +37,11 @@ val protocol_version : int
     malformed, not a reason to buffer without bound. *)
 val default_max_frame : int
 
+(** Largest shard count a Hello may request (64).  A protocol constant, not
+    a daemon knob: each shard costs a treap triple and a lane per session,
+    so the bound keeps one Hello from sizing another tenant's memory. *)
+val max_shards : int
+
 type client_msg =
   | Hello of { version : int; shards : int; predict : int }
       (** [predict] — requested prediction window [w] for this session

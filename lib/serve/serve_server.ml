@@ -63,6 +63,13 @@ type t = {
   listen_fd : Unix.file_descr;
   pool : Micropool.shared;
   stop : bool Atomic.t;
+  (* self-pipe: a lease's [on_done] and [stop] write one byte to [wake_w];
+     [wake_r] sits in every select read set *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  wake_buf : Bytes.t; (* the loop's drain buffer for [wake_r] *)
+  wake_users : int Atomic.t; (* [wake] calls between their check and write *)
+  wake_closed : bool Atomic.t; (* set once by [shutdown], before the close *)
   mutable conns : conn list;
   mutable next_id : int;
   mutable accepted : int;
@@ -80,11 +87,19 @@ let create ?(config = default_config) addr =
   Unix.bind fd addr;
   Unix.listen fd (config.max_sessions * 2);
   Unix.set_nonblock fd;
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   {
     cfg = config;
     listen_fd = fd;
     pool = Micropool.shared config.pool_workers;
     stop = Atomic.make false;
+    wake_r;
+    wake_w;
+    wake_buf = Bytes.create 64;
+    wake_users = Atomic.make 0;
+    wake_closed = Atomic.make false;
     conns = [];
     next_id = 0;
     accepted = 0;
@@ -94,7 +109,39 @@ let create ?(config = default_config) addr =
   }
 
 let sockaddr t = Unix.getsockname t.listen_fd
-let stop t = Atomic.set t.stop true
+
+(* Wake the select loop: one byte into the self-pipe.  Runs on pool
+   workers (a lease's [on_done]), in signal handlers and on other domains
+   ([stop]).  A full pipe (EAGAIN) already holds a pending wake.  Counting
+   the call in [wake_users] before checking [wake_closed] lets [shutdown]
+   wait out a write in flight, so no write ever reaches a closed or reused
+   descriptor. *)
+let wake t =
+  Atomic.incr t.wake_users;
+  if not (Atomic.get t.wake_closed) then begin
+    let rec write () =
+      match Unix.single_write_substring t.wake_w "!" 0 1 with
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    write ()
+  end;
+  Atomic.decr t.wake_users
+
+let drain_wake t =
+  let rec go () =
+    match Unix.read t.wake_r t.wake_buf 0 (Bytes.length t.wake_buf) with
+    | n when n = Bytes.length t.wake_buf -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let stop t =
+  Atomic.set t.stop true;
+  wake t
 
 let stats t =
   [
@@ -126,6 +173,16 @@ let fail_conn t c msg =
   send c (Serve_proto.Reject msg);
   c.c_phase <- Closing
 
+(* The per-connection exception boundary: whatever one tenant's frames make
+   the session code raise ends that connection with a framed ['X'] and a
+   [failed] count, never the daemon. *)
+let guard t c f =
+  try f () with
+  | Serve_proto.Proto_error m -> fail_conn t c ("protocol error: " ^ m)
+  | Tracefile.Error m -> fail_conn t c ("malformed trace stream: " ^ m)
+  | Replay.Corrupt m -> fail_conn t c ("corrupt strand DAG: " ^ m)
+  | e -> fail_conn t c ("internal error: " ^ Printexc.to_string e)
+
 let start_stream t c ~shards ~predict =
   let cfg = t.cfg in
   let shards = if shards = 0 then cfg.shards else shards in
@@ -145,14 +202,19 @@ let start_stream t c ~shards ~predict =
         Replay.Session.create ~wrap:(Obs_hooks.instrument obs)
           ~max_pending:cfg.max_pending ?on_strand det
       in
-      let lease = Micropool.submit t.pool (Systems.micropools stages) in
+      let feed_us = Obs.histo obs "serve.feed_us" in
+      (* nothing after the submit may raise: a submitted lease finishes only
+         once its session ends, which needs the session in [c_phase] *)
+      let lease =
+        Micropool.submit ~on_done:(fun () -> wake t) t.pool (Systems.micropools stages)
+      in
       let st =
         {
           st_det = det;
           st_session = session;
           st_lease = lease;
           st_obs = obs;
-          st_feed_us = Obs.histo obs "serve.feed_us";
+          st_feed_us = feed_us;
           st_has_pipeline = stages <> [];
           st_predict = predict;
           st_builder = builder;
@@ -178,6 +240,10 @@ let handle_msg t c msg =
         fail_conn t c
           (Printf.sprintf "protocol version %d unsupported (server speaks %d)" version
              Serve_proto.protocol_version)
+      else if shards < 0 || shards > Serve_proto.max_shards then
+        fail_conn t c
+          (Printf.sprintf "shard count %d out of range (server allows 0..%d)" shards
+             Serve_proto.max_shards)
       else if predict < 0 || predict > t.cfg.max_window then
         fail_conn t c
           (Printf.sprintf "prediction window %d out of range (server allows 0..%d)" predict
@@ -232,19 +298,15 @@ let handle_readable t c =
           Replay.Session.abort st.st_session;
           t.failed <- t.failed + 1;
           c.c_phase <- Closing)
-  | n -> (
-      try
-        Serve_proto.Frames.feed c.c_in ~len:n (Bytes.unsafe_to_string read_chunk);
-        let continue = ref true in
-        while !continue do
-          match Serve_proto.Frames.next c.c_in with
-          | Some payload -> handle_msg t c (Serve_proto.decode_client payload)
-          | None -> continue := false
-        done
-      with
-      | Serve_proto.Proto_error m -> fail_conn t c ("protocol error: " ^ m)
-      | Tracefile.Error m -> fail_conn t c ("malformed trace stream: " ^ m)
-      | Replay.Corrupt m -> fail_conn t c ("corrupt strand DAG: " ^ m))
+  | n ->
+      guard t c (fun () ->
+          Serve_proto.Frames.feed c.c_in ~len:n (Bytes.unsafe_to_string read_chunk);
+          let continue = ref true in
+          while !continue do
+            match Serve_proto.Frames.next c.c_in with
+            | Some payload -> handle_msg t c (Serve_proto.decode_client payload)
+            | None -> continue := false
+          done)
 
 let handle_writable t c =
   match Queue.peek_opt c.c_out with
@@ -264,9 +326,6 @@ let handle_writable t c =
           end
           else c.c_out_off <- c.c_out_off + n)
 
-(* Draining → Closing once the tenant's pipeline stages are all [`Done]:
-   only then is it safe for this thread to drain the detector (stages are
-   single-consumer, and the pool has stopped stepping them). *)
 (* Detection runs on pool domains between feeds, so discoveries can land
    at any time: stream them as they appear rather than batching into the
    summary. *)
@@ -277,6 +336,10 @@ let poll_races c =
       if late <> [] then send c (race_msg late)
   | Handshake | Closing -> ()
 
+(* Draining → Closing once the tenant's pipeline stages are all [`Done]:
+   only then is it safe for this thread to drain the detector (stages are
+   single-consumer, and the pool has stopped stepping them).  The lease's
+   [on_done] wakes the loop for exactly this check. *)
 let finish_drained t c =
   match c.c_phase with
   | Draining st when Micropool.lease_done st.st_lease ->
@@ -354,15 +417,15 @@ let handle_accept t =
 
 let once t ~timeout =
   let rds =
-    t.listen_fd :: List.filter_map
-                     (fun c -> if conn_wants_read t.cfg c then Some c.c_fd else None)
-                     t.conns
+    t.wake_r :: t.listen_fd
+    :: List.filter_map (fun c -> if conn_wants_read t.cfg c then Some c.c_fd else None) t.conns
   in
   let wrs = List.filter_map (fun c -> if Queue.is_empty c.c_out then None else Some c.c_fd) t.conns in
   let rd, wr, _ =
     try Unix.select rds wrs [] timeout
     with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
+  if List.mem t.wake_r rd then drain_wake t;
   if List.mem t.listen_fd rd then handle_accept t;
   List.iter
     (fun c ->
@@ -370,7 +433,7 @@ let once t ~timeout =
       if List.mem c.c_fd wr then handle_writable t c)
     t.conns;
   List.iter poll_races t.conns;
-  List.iter (fun c -> finish_drained t c) t.conns;
+  List.iter (fun c -> guard t c (fun () -> finish_drained t c)) t.conns;
   List.iter
     (fun c -> if c.c_phase = Closing && Queue.is_empty c.c_out then close_conn t c)
     t.conns
@@ -406,6 +469,15 @@ let shutdown t =
   done;
   List.iter (fun c -> close_conn t c) t.conns;
   Micropool.shutdown t.pool;
+  (* the workers are joined, so no [on_done] can wake any more; a [stop]
+     still in [wake] is waited out, and any later one sees the flag *)
+  if not (Atomic.exchange t.wake_closed true) then begin
+    while Atomic.get t.wake_users > 0 do
+      Domain.cpu_relax ()
+    done;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+  end;
   match addr with
   | Some (Unix.ADDR_UNIX path) when Sys.file_exists path -> (
       try Sys.remove path with Sys_error _ -> ())

@@ -7,7 +7,10 @@
     what makes every session's decoder and walk state single-owner
     (OWNERSHIP.md).  The only cross-domain traffic is the one each detector
     already has — its AHQ lanes to the shared pool workers — plus the
-    per-slot completion atomics of {!Micropool.submit}.
+    per-slot completion atomics of {!Micropool.submit} and a self-pipe:
+    each lease's [on_done] and {!stop} write one byte to it, so the loop
+    blocks in [select] until a socket is ready, a lease completes or the
+    daemon is stopped.
 
     Per-tenant isolation and graceful degradation:
     - admission control — at most [max_sessions] live sessions; an
@@ -46,8 +49,9 @@ val default_config : config
 
 type t
 
-(** [create ?config addr] binds and listens on [addr] (Unix or TCP) and
-    spawns the shared pool.  @raise Unix.Unix_error on bind failure. *)
+(** [create ?config addr] binds and listens on [addr] (Unix or TCP), opens
+    the wake pipe and spawns the shared pool.
+    @raise Unix.Unix_error on bind failure. *)
 val create : ?config:config -> Unix.sockaddr -> t
 
 (** The bound address (resolves port 0 to the actual port). *)
@@ -56,10 +60,15 @@ val sockaddr : t -> Unix.sockaddr
 (** Run the IO loop until {!stop}, then shut down gracefully: abort live
     sessions (their leases complete, so pool workers never wedge), flush
     pending frames, join the pool, remove a Unix socket path.  [poll]
-    (default 20 ms) is the select timeout that paces lease polling. *)
+    (default 20 ms) only caps how long an idle loop sleeps: drained leases
+    and {!stop} wake it at once, and what nothing signals — races a pool
+    worker finds while a session still streams, a backpressured session's
+    read resuming — is picked up at least once per [poll]. *)
 val serve : ?poll:float -> t -> unit
 
-(** Signal-handler-safe: flips an atomic the {!serve} loop observes. *)
+(** Signal-handler-safe, callable from any domain: flips an atomic the
+    {!serve} loop observes and wakes the loop, so {!serve} returns without
+    waiting out its poll.  A no-op on the pipe after {!shutdown}. *)
 val stop : t -> unit
 
 (** One IO iteration (accept/read/write/drain); exposed for in-process

@@ -21,10 +21,13 @@ let read_byte c =
   c.pos <- c.pos + 1;
   b
 
+(* [max_int] has 62 bits: eight full groups plus 6 bits in a ninth byte,
+   which must be the last.  A larger ninth byte would continue or shift
+   into the sign bit and wrap negative. *)
 let read c =
   let rec go shift acc =
-    if shift > 62 then failwith "Varint: value out of range";
     let b = read_byte c in
+    if shift = 56 && b > 0x3f then failwith "Varint: value out of range";
     let acc = acc lor ((b land 0x7f) lsl shift) in
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in

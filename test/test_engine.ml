@@ -124,6 +124,75 @@ let test_backoff_terminates () =
   List.iter (fun n -> Backoff.relax n) [ 0; 1; 5; 8; 20; 62; 1000 ];
   check_bool "bounded" true true
 
+(* ---------------------------------------------------------- shared pools *)
+
+(* A stage that idles until [gate] opens, then finishes. *)
+let gated gate name = Stage.make ~name (fun () -> if Atomic.get gate then Step.finished else Step.idle)
+
+(* A lease under watch: how often its [on_done] fired, and whether every
+   firing already saw [lease_done].  [on_done] may run before [submit]
+   returns the lease it belongs to, so the lease is published separately. *)
+type watched = { lease : Micropool.lease option Atomic.t; fired : int Atomic.t; early : bool Atomic.t }
+
+let watch () = { lease = Atomic.make None; fired = Atomic.make 0; early = Atomic.make false }
+
+let on_done w () =
+  (match Atomic.get w.lease with
+  | Some l when Micropool.lease_done l -> ()
+  | _ -> Atomic.set w.early true);
+  Atomic.incr w.fired
+
+let submit_watched pool groups =
+  let w = watch () in
+  Atomic.set w.lease (Some (Micropool.submit ~on_done:(on_done w) pool groups));
+  w
+
+(* Submit [leases] leases of [groups] gated groups each on a 2-worker pool,
+   open the gate, and check each [on_done] fired once, after [lease_done]. *)
+let check_on_done ~leases ~groups () =
+  let pool = Micropool.shared 2 in
+  let gate = Atomic.make false in
+  let ws =
+    List.init leases (fun l ->
+        submit_watched pool
+          (List.init groups (fun g ->
+               List.init 3 (fun i -> gated gate (Printf.sprintf "l%d.g%d.s%d" l g i)))))
+  in
+  List.iter (fun w -> check_int "not fired while gated" 0 (Atomic.get w.fired)) ws;
+  Atomic.set gate true;
+  List.iter (fun w -> Micropool.await (Option.get (Atomic.get w.lease))) ws;
+  (* joining the workers orders every [on_done] before the checks *)
+  Micropool.shutdown pool;
+  List.iter
+    (fun w ->
+      check_int "fired exactly once" 1 (Atomic.get w.fired);
+      check_bool "fired after lease_done" false (Atomic.get w.early))
+    ws
+
+let test_on_done_empty_lease () =
+  let pool = Micropool.shared 1 in
+  let w = watch () in
+  let l = Micropool.submit ~on_done:(on_done w) pool [] in
+  check_int "fired on submit" 1 (Atomic.get w.fired);
+  check_bool "empty lease is done" true (Micropool.lease_done l);
+  Micropool.shutdown pool;
+  check_int "still once" 1 (Atomic.get w.fired)
+
+(* A detector's stages finish only once its run ends: aborting the replay
+   session that drives it must still complete the lease and fire once. *)
+let test_on_done_aborted_session () =
+  let pool = Micropool.shared 2 in
+  let det, stages = Option.get (Systems.make_detector ~shards:2 "pint") in
+  let s = Replay.Session.create det in
+  let w = submit_watched pool (Systems.micropools stages) in
+  check_bool "multi-group lease" true (List.length (Systems.micropools stages) > 1);
+  check_int "not fired while the session runs" 0 (Atomic.get w.fired);
+  Replay.Session.abort s;
+  Micropool.await (Option.get (Atomic.get w.lease));
+  Micropool.shutdown pool;
+  check_int "fired exactly once" 1 (Atomic.get w.fired);
+  check_bool "fired after lease_done" false (Atomic.get w.early)
+
 let () =
   Alcotest.run "pint_engine"
     [
@@ -137,5 +206,13 @@ let () =
             test_pipeline_producer_consumer;
           Alcotest.test_case "pipeline diagnostics" `Quick test_pipeline_diagnostics;
           Alcotest.test_case "backoff terminates" `Quick test_backoff_terminates;
+        ] );
+      ( "micropool",
+        [
+          Alcotest.test_case "on_done: one-slot lease" `Quick (check_on_done ~leases:1 ~groups:1);
+          Alcotest.test_case "on_done: multi-slot leases" `Quick
+            (check_on_done ~leases:8 ~groups:4);
+          Alcotest.test_case "on_done: empty lease" `Quick test_on_done_empty_lease;
+          Alcotest.test_case "on_done: aborted session" `Quick test_on_done_aborted_session;
         ] );
     ]

@@ -2,8 +2,10 @@
    shared-pool pipelines), and the pint_serve daemon driven in-process —
    concurrent tenants over the golden corpus must be served race sets
    bit-identical to offline replay at the Theorem-5 (kind, prior, current)
-   granularity, over-admission must be rejected with a framed error, and a
-   mid-stream disconnect must leave the daemon responsive. *)
+   granularity, over-admission must be rejected with a framed error, a
+   mid-stream disconnect or a hostile Hello must leave the daemon
+   responsive, and a drained session must be answered without waiting out
+   the daemon's poll. *)
 
 let check_bool = Alcotest.(check bool)
 
@@ -123,10 +125,10 @@ let fresh_sock_path =
 
 (* Start an in-process daemon; returns (server, join) where [join] stops
    the IO loop and joins its domain. *)
-let start_daemon config =
+let start_daemon ?(poll = 0.005) config =
   let path = fresh_sock_path () in
   let server = Serve_server.create ~config (Unix.ADDR_UNIX path) in
-  let d = Domain.spawn (fun () -> Serve_server.serve ~poll:0.005 server) in
+  let d = Domain.spawn (fun () -> Serve_server.serve ~poll server) in
   let join () =
     Serve_server.stop server;
     Domain.join d
@@ -295,37 +297,112 @@ let test_daemon_predict () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "over-cap predict window was accepted")
 
+(* Send raw bytes on a fresh connection; return the server's first reply. *)
+let first_reply addr out =
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd addr;
+      ignore (Unix.write_substring fd out 0 (String.length out));
+      let frames = Serve_proto.Frames.create () in
+      let buf = Bytes.create 4096 in
+      let rec next () =
+        match Serve_proto.Frames.next frames with
+        | Some payload -> Serve_proto.decode_server payload
+        | None ->
+            let n = Unix.read fd buf 0 (Bytes.length buf) in
+            if n = 0 then failwith "closed without a reply frame";
+            Serve_proto.Frames.feed frames ~len:n (Bytes.to_string buf);
+            next ()
+      in
+      next ())
+
 (* A bad protocol version must be rejected with a framed error. *)
 let test_daemon_bad_version () =
   let server, join = start_daemon test_config in
   Fun.protect ~finally:join (fun () ->
       let addr = Serve_server.sockaddr server in
-      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          Unix.connect fd addr;
-          let out =
-            Serve_proto.encode_client
-              (Serve_proto.Hello { version = Serve_proto.protocol_version + 1; shards = 0; predict = 0 })
-          in
-          ignore (Unix.write_substring fd out 0 (String.length out));
-          let frames = Serve_proto.Frames.create () in
-          let buf = Bytes.create 4096 in
-          let rec next () =
-            match Serve_proto.Frames.next frames with
-            | Some payload -> Serve_proto.decode_server payload
-            | None ->
-                let n = Unix.read fd buf 0 (Bytes.length buf) in
-                if n = 0 then failwith "closed without a reject frame";
-                Serve_proto.Frames.feed frames ~len:n (Bytes.to_string buf);
-                next ()
-          in
-          match next () with
+      let out =
+        Serve_proto.encode_client
+          (Serve_proto.Hello { version = Serve_proto.protocol_version + 1; shards = 0; predict = 0 })
+      in
+      match first_reply addr out with
+      | Serve_proto.Reject _ -> ()
+      | _ -> Alcotest.fail "version mismatch was not rejected")
+
+(* A Hello whose shards varint is nine bytes with bit 62 set: before
+   varints were range-checked it decoded to a negative shard count, and
+   the detector's constructor raised out of the select loop, killing the
+   daemon and every session on it. *)
+let bit62_hello =
+  Serve_proto.frame ("H" ^ String.make 1 (Char.chr Serve_proto.protocol_version)
+                     ^ String.make 8 '\x80' ^ "\x40")
+
+let test_hello_bit62_decode () =
+  let payload = String.sub bit62_hello 4 (String.length bit62_hello - 4) in
+  match Serve_proto.decode_client payload with
+  | exception Serve_proto.Proto_error _ -> ()
+  | Serve_proto.Hello { shards; _ } -> Alcotest.failf "decoded to shards = %d" shards
+  | _ -> Alcotest.fail "decoded to a non-Hello message"
+
+(* Hostile Hellos get a framed reject while an honest tenant on the same
+   daemon is served exactly the offline race set. *)
+let test_daemon_hostile_hello () =
+  let server, join = start_daemon test_config in
+  Fun.protect ~finally:join (fun () ->
+      let addr = Serve_server.sockaddr server in
+      let bytes = read_file "golden/mmul_racy.trace" in
+      let honest = Domain.spawn (fun () -> Serve_client.run ~chunk:64 ~addr bytes) in
+      let too_many_shards =
+        Serve_proto.encode_client
+          (Serve_proto.Hello
+             { version = Serve_proto.protocol_version; shards = Serve_proto.max_shards + 1; predict = 0 })
+      in
+      List.iter
+        (fun (what, out) ->
+          match first_reply addr out with
           | Serve_proto.Reject _ -> ()
-          | _ -> Alcotest.fail "version mismatch was not rejected"))
+          | _ -> Alcotest.failf "%s was not rejected" what)
+        [ ("bit-62 shards varint", bit62_hello); ("shards above max_shards", too_many_shards) ];
+      (match Domain.join honest with
+      | Error msg -> Alcotest.failf "honest session failed: %s" msg
+      | Ok r ->
+          check_bool "honest races = offline replay" true
+            (Serve_client.signature r.Serve_client.races = offline_sig bytes));
+      (* the daemon is still up and serving *)
+      (match Serve_client.run ~addr bytes with
+      | Error msg -> Alcotest.failf "daemon stopped serving: %s" msg
+      | Ok _ -> ());
+      let stats = Serve_server.stats server in
+      check_bool "hostile hellos counted as failed" true (List.assoc "serve.failed" stats = 2.))
+
+(* With a 5 s poll, only the wake pipe can deliver a prompt answer: the
+   drained lease's [on_done] must bring the Summary, and [stop] must end
+   the loop, each in well under a second. *)
+let test_daemon_wakeup () =
+  let server, join = start_daemon ~poll:5.0 test_config in
+  let addr = Serve_server.sockaddr server in
+  let bytes = read_file "golden/heat_racy.trace" in
+  let t0 = Unix.gettimeofday () in
+  let served = Serve_client.run ~addr bytes in
+  let session_s = Unix.gettimeofday () -. t0 in
+  let t1 = Unix.gettimeofday () in
+  join ();
+  let stop_s = Unix.gettimeofday () -. t1 in
+  (match served with
+  | Error msg -> Alcotest.failf "session failed: %s" msg
+  | Ok r ->
+      check_bool "served races = offline replay" true
+        (Serve_client.signature r.Serve_client.races = offline_sig bytes));
+  if session_s >= 1.0 then Alcotest.failf "Summary took %.3f s under a 5 s poll" session_s;
+  if stop_s >= 1.0 then Alcotest.failf "stop + join took %.3f s under a 5 s poll" stop_s
 
 let () =
+  (* daemon and clients share this process: a write to a socket its peer
+     already closed must fail with EPIPE, not kill the suite (the
+     pint_serve binary ignores SIGPIPE the same way) *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let files = golden_files () in
   if files = [] then prerr_endline "test_serve: no golden traces found, nothing to check";
   Alcotest.run "pint_serve"
@@ -343,5 +420,9 @@ let () =
           Alcotest.test_case "mid-stream disconnect" `Quick test_daemon_disconnect;
           Alcotest.test_case "predict session" `Quick test_daemon_predict;
           Alcotest.test_case "version mismatch rejected" `Quick test_daemon_bad_version;
+          Alcotest.test_case "bit-62 hello decodes to Proto_error" `Quick test_hello_bit62_decode;
+          Alcotest.test_case "hostile hello rejected, daemon survives" `Quick
+            test_daemon_hostile_hello;
+          Alcotest.test_case "drained lease wakes the loop" `Quick test_daemon_wakeup;
         ] );
     ]

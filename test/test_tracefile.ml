@@ -46,6 +46,31 @@ let test_varint_truncated () =
        false
      with Failure _ -> true)
 
+(* [max_int] takes nine bytes, the last 0x3f; any ninth byte above that
+   either continues or sets bit 62, the sign bit, and must be refused
+   rather than wrap negative. *)
+let test_varint_overflow () =
+  let b = Buffer.create 9 in
+  Varint.write b max_int;
+  let enc = Buffer.contents b in
+  check_int "max_int is 9 bytes" 9 (String.length enc);
+  check_int "max_int round-trips" max_int (Varint.read (Varint.cursor enc));
+  List.iter
+    (fun last ->
+      let c = Varint.cursor (String.make 8 '\xff' ^ String.make 1 (Char.chr last)) in
+      check_bool (Printf.sprintf "ninth byte 0x%02x rejected" last) true
+        (try
+           ignore (Varint.read c);
+           false
+         with Failure _ -> true))
+    [ 0x40; 0x7f; 0x80; 0xff ];
+  let c = Varint.cursor (String.make 8 '\x80' ^ "\x40") in
+  check_bool "1 lsl 62 rejected" true
+    (try
+       ignore (Varint.read c);
+       false
+     with Failure _ -> true)
+
 (* -------------------------------------------------------------- crc32 *)
 
 let test_crc32_check_vector () =
@@ -302,6 +327,7 @@ let () =
           Alcotest.test_case "sizes" `Quick test_varint_sizes;
           Alcotest.test_case "negative rejected" `Quick test_varint_negative_rejected;
           Alcotest.test_case "truncated rejected" `Quick test_varint_truncated;
+          Alcotest.test_case "overflow rejected" `Quick test_varint_overflow;
         ] );
       ( "crc32",
         [
