@@ -4,9 +4,9 @@
    1. Regenerates every evaluation table of the paper (Figures 1-4) from the
       virtual-time harness — these are the rows EXPERIMENTS.md quotes.
    2. Bechamel wall-clock microbenchmarks of the real data structures and
-      detectors (one Test.make group per figure plus the substrate ops), so
-      the actual OCaml implementation cost of each component is measured,
-      not simulated.
+      detectors (the figure, replay and predict groups of the JSON case
+      table below, plus the substrate ops), so the actual OCaml
+      implementation cost of each component is measured, not simulated.
    3. A machine-readable mode (`--json PATH`, optionally `--runs N`) that
       times one representative configuration per figure with a plain
       wall-clock stopwatch and writes per-case median/min/max/sample-count
@@ -27,67 +27,6 @@ let small = 48 (* small workload size so each bechamel sample is a full run *)
    pint_run and pint_replay agree on what each name means. *)
 let make_det ?(shards = 1) name = Option.get (Systems.make_detector ~shards name)
 
-let run_detector_once name workers detector () =
-  let w = Registry.find name in
-  let inst = w.Workload.make ~size:small ~base:8 in
-  let d, stages = make_det detector in
-  match detector with
-  | "stint" -> ignore (Seq_exec.run ~driver:d.Detector.driver inst.Workload.run)
-  | _ ->
-      let config = { Sim_exec.default_config with n_workers = workers; stages } in
-      ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-
-(* Figure 1 group: full detector runs on a small heat instance. *)
-let fig1_tests =
-  Test.make_grouped ~name:"fig1:heat48"
-    [
-      Test.make ~name:"baseline" (Staged.stage (run_detector_once "heat" 4 "none"));
-      Test.make ~name:"stint" (Staged.stage (run_detector_once "heat" 4 "stint"));
-      Test.make ~name:"pint" (Staged.stage (run_detector_once "heat" 4 "pint"));
-      Test.make ~name:"cracer" (Staged.stage (run_detector_once "heat" 4 "cracer"));
-    ]
-
-(* Figure 2 group: the PINT pipeline at two base-case granularities (the
-   strand/interval density is what the work breakdown depends on). *)
-let fig2_tests =
-  let go base () =
-    let w = Registry.find "sort" in
-    let inst = w.Workload.make ~size:4096 ~base in
-    let d, stages = make_det "pint" in
-    let config = { Sim_exec.default_config with n_workers = 4; stages } in
-    ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-  in
-  Test.make_grouped ~name:"fig2:pint-pipeline"
-    [
-      Test.make ~name:"sort4096/b64" (Staged.stage (go 64));
-      Test.make ~name:"sort4096/b256" (Staged.stage (go 256));
-    ]
-
-(* Figure 3 group: same computation at increasing simulated worker counts. *)
-let fig3_tests =
-  Test.make_grouped ~name:"fig3:strong-scaling"
-    [
-      Test.make ~name:"mmul/p1" (Staged.stage (run_detector_once "mmul" 1 "pint"));
-      Test.make ~name:"mmul/p8" (Staged.stage (run_detector_once "mmul" 8 "pint"));
-      Test.make ~name:"mmul/p32" (Staged.stage (run_detector_once "mmul" 32 "pint"));
-    ]
-
-(* Figure 4 group: weak-scaling step (size grows with workers). *)
-let fig4_tests =
-  let go size p () =
-    let w = Registry.find "heat" in
-    let inst = w.Workload.make ~size ~base:8 in
-    let d, stages = make_det "pint" in
-    let config = { Sim_exec.default_config with n_workers = p; stages } in
-    ignore (Sim_exec.run ~config ~driver:d.Detector.driver inst.Workload.run)
-  in
-  Test.make_grouped ~name:"fig4:weak-scaling"
-    [
-      Test.make ~name:"heat32/p1" (Staged.stage (go 32 1));
-      Test.make ~name:"heat64/p4" (Staged.stage (go 64 4));
-      Test.make ~name:"heat128/p16" (Staged.stage (go 128 16));
-    ]
-
 (* Replay-driven timing: one shared capture of the heat workload, then each
    detector is timed on the identical recorded strand stream.  This isolates
    the detector's own cost — no executor, no workload execution, no
@@ -106,15 +45,6 @@ let replay_run ?shards det () =
   let t = Lazy.force replay_trace in
   let d, _ = make_det ?shards det in
   (Replay.run t d).Replay.diagnostics
-
-let replay_tests =
-  let go det () = ignore (replay_run det ()) in
-  Test.make_grouped ~name:"replay:heat48"
-    [
-      Test.make ~name:"stint" (Staged.stage (go "stint"));
-      Test.make ~name:"pint" (Staged.stage (go "pint"));
-      Test.make ~name:"cracer" (Staged.stage (go "cracer"));
-    ]
 
 (* Predictive detection: observed detection and the strand DAG come from
    one replay pass, then the window-bounded reordering analysis runs on
@@ -139,14 +69,6 @@ let predict_run ~window () =
   let o = Replay.run ~on_strand:(Predict.Builder.observer b) t d in
   let pr = Predict.predict ~window ~observed:o.Replay.races (Predict.Builder.dag b) in
   pr.Predict.diagnostics
-
-let predict_tests =
-  let go window () = ignore (predict_run ~window ()) in
-  Test.make_grouped ~name:"predict:heat48"
-    [
-      Test.make ~name:"w2" (Staged.stage (go 2));
-      Test.make ~name:"w8" (Staged.stage (go 8));
-    ]
 
 (* Substrate microbenchmarks: the individual data structures. *)
 let substrate_tests =
@@ -282,27 +204,6 @@ let print_stage_diagnostics () =
       then Printf.printf "  %-28s %12.1f\n" k v)
     (d.Detector.diagnostics ())
 
-let default_main () =
-  print_endline "=== PINT evaluation tables (virtual-time harness) ===";
-  print_newline ();
-  let _, f1 = Figures.fig1 () in
-  print_string f1;
-  print_newline ();
-  let _, f2 = Figures.fig2 () in
-  print_string f2;
-  print_newline ();
-  let _, f3 = Figures.fig3 () in
-  print_string f3;
-  print_newline ();
-  let _, f4 = Figures.fig4 () in
-  print_string f4;
-  print_newline ();
-  print_stage_diagnostics ();
-  print_newline ();
-  print_endline "=== Bechamel wall-clock benchmarks (real implementation) ===";
-  List.iter report
-    [ fig1_tests; fig2_tests; fig3_tests; fig4_tests; replay_tests; predict_tests; substrate_tests ]
-
 (* ------------------------------------------------- machine-readable mode *)
 
 (* One run of a (workload, detector) configuration; returns the detector's
@@ -437,8 +338,9 @@ let soak ~sessions ~max_sessions () =
     ("feed_us_p99", List.fold_left max 0. !p99s);
   ]
 
-(* The representative case list: one group per paper figure, mirroring the
-   bechamel groups above but sized to finish in seconds so CI can smoke it. *)
+(* The representative case list: one group per paper figure, sized to
+   finish in seconds so CI can smoke it; Bechamel samples a subset of the
+   same groups. *)
 let json_cases =
   [
     ( "fig1:heat48",
@@ -517,6 +419,47 @@ let json_cases =
     ( "predict:heat48",
       [ ("w2", predict_run ~window:2); ("w8", predict_run ~window:8) ] );
   ]
+
+(* The groups Bechamel samples, taken from [json_cases] by name so both
+   modes time the same configurations. *)
+let bechamel_groups =
+  [
+    "fig1:heat48";
+    "fig2:pint-pipeline";
+    "fig3:strong-scaling";
+    "fig4:weak-scaling";
+    "replay:heat48";
+    "predict:heat48";
+  ]
+
+let bechamel_tests () =
+  List.map
+    (fun group ->
+      Test.make_grouped ~name:group
+        (List.map
+           (fun (case, run) -> Test.make ~name:case (Staged.stage (fun () -> ignore (run ()))))
+           (List.assoc group json_cases)))
+    bechamel_groups
+
+let default_main () =
+  print_endline "=== PINT evaluation tables (virtual-time harness) ===";
+  print_newline ();
+  let _, f1 = Figures.fig1 () in
+  print_string f1;
+  print_newline ();
+  let _, f2 = Figures.fig2 () in
+  print_string f2;
+  print_newline ();
+  let _, f3 = Figures.fig3 () in
+  print_string f3;
+  print_newline ();
+  let _, f4 = Figures.fig4 () in
+  print_string f4;
+  print_newline ();
+  print_stage_diagnostics ();
+  print_newline ();
+  print_endline "=== Bechamel wall-clock benchmarks (real implementation) ===";
+  List.iter report (bechamel_tests () @ [ substrate_tests ])
 
 (* Diagnostics worth tracking release-over-release; anything absent for a
    given detector is simply omitted from its JSON object. *)

@@ -21,9 +21,6 @@
    shard's address range), so per-shard clear/free ordering is preserved
    verbatim. *)
 
-(* Re-exported shard-decomposition helper (the router owns the scheme). *)
-let iter_shard_subranges ~shards ~shard iv f = Lanes.iter_subranges ~shards ~shard iv f
-
 (* ------------------------------------------------------------- stage roles *)
 
 type role = Writer | Lreader | Rreader
@@ -315,7 +312,7 @@ let driver t (ctx : Hooks.ctx) =
 
 let process_clears ?(shards = 1) ?(shard = 0) treap (u : Srec.t) =
   let clear (b, l) =
-    iter_shard_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
+    Lanes.iter_subranges ~shards ~shard (Interval.make b (b + l - 1)) (fun sub ->
         Itreap.clear_range treap sub)
   in
   List.iter clear u.clears;
@@ -325,14 +322,14 @@ let process_clears ?(shards = 1) ?(shard = 0) treap (u : Srec.t) =
    the result is an exact-sized array.  Only reached when shards > 1. *)
 let split_owned ~shards ~shard (ivs : Interval.t array) =
   let n = ref 0 in
-  Array.iter (fun iv -> iter_shard_subranges ~shards ~shard iv (fun _ -> incr n)) ivs;
+  Array.iter (fun iv -> Lanes.iter_subranges ~shards ~shard iv (fun _ -> incr n)) ivs;
   if !n = 0 then [||]
   else begin
     let out = Array.make !n (Interval.make 0 0) in
     let i = ref 0 in
     Array.iter
       (fun iv ->
-        iter_shard_subranges ~shards ~shard iv (fun sub ->
+        Lanes.iter_subranges ~shards ~shard iv (fun sub ->
             out.(!i) <- sub;
             incr i))
       ivs;

@@ -161,8 +161,3 @@ val collected : t -> int
     down. *)
 val detection_span : t -> float
 
-(** [iter_shard_subranges ~shards ~shard iv f] — the block-aligned subranges
-    of [iv] owned by [shard]; the shards partition every interval exactly.
-    (Alias of {!Lanes.iter_subranges} at the default block size, kept for
-    tests and custom shard workers.) *)
-val iter_shard_subranges : shards:int -> shard:int -> Interval.t -> (Interval.t -> unit) -> unit

@@ -1,107 +1,24 @@
 (* Shard micropools: the fixed stage-to-domain topology of the real
-   executor (ROADMAP items 1-2, following the pinned-pool pattern of the
-   ebsl OCaml-multicore work).
+   executor (following the pinned-pool pattern of the ebsl OCaml-multicore
+   work).
 
-   One domain per pool, each cooperatively round-robining its own small
-   set of stages — for PINT, shard k's {writer, lreader, rreader} treap
-   triple — until every stage reports [`Done].  Stages are pinned for the
-   pool's whole lifetime: a stage never migrates between domains, so all
-   the single-owner state the stages carry (treaps, scratch buffers,
-   consume buffers, AHQ cursors, event rings) keeps exactly one writing
-   domain without any synchronization.  (OCaml exposes no portable OS-core
-   affinity API, so "pinned" means pinned to a domain; the OS scheduler
-   keeps a busy domain on its core in practice.)
+   K worker domains, each cooperatively round-robining the stage groups
+   assigned to it — for PINT, one group is shard k's {writer, lreader,
+   rreader} treap triple — until every stage reports [`Done].  A group is
+   pinned for its whole lifetime: it is assigned to exactly one worker at
+   submission and never migrates, so all the single-owner state the stages
+   carry (treaps, scratch buffers, consume buffers, AHQ cursors, event
+   rings) keeps exactly one writing domain without any synchronization.
+   (OCaml exposes no portable OS-core affinity API, so "pinned" means
+   pinned to a domain; the OS scheduler keeps a busy domain on its core in
+   practice.)  The three stages of one shard share one lane's data anyway,
+   so co-scheduling them is cache-friendly; a worker backs off with the
+   engine {!Backoff} only when everything it holds is unproductive.
 
-   This replaces the previous one-domain-per-stage spawn: 3·shards
-   domains, which oversubscribed the machine as soon as shards grew, and
-   whose idle stages each burned a core waiting on their lane.  A pool
-   interleaves its triple on one domain — the three stages of one shard
-   share one lane's data anyway, so co-scheduling them is cache-friendly —
-   and backs off with the engine {!Backoff} only when the whole triple is
-   unproductive. *)
-
-type pool = {
-  p_id : int;
-  p_stages : Stage.t array;
-  p_ring : Evring.t; (* the pool domain's own obs track (Evring.null off) *)
-  mutable p_parks : int; (* deep-backoff rounds: pool-idle diagnostics *)
-}
-
-type t = { pools : pool array; domains : unit Domain.t array }
-
-let park_kind = Ev.park
-
-(* Drive one pool to completion: round-robin every unfinished stage; any
-   productive step resets the backoff ladder.  [`Idle]/[`Stalled] steps
-   are counted by the stages themselves (Stage.exec), so per-stage
-   diagnostics stay attributable even though the pool shares the domain. *)
-let run_pool p =
-  let n = Array.length p.p_stages in
-  let finished = Array.make n false in
-  let remaining = ref n in
-  let idle_rounds = ref 0 in
-  while !remaining > 0 do
-    let progressed = ref false in
-    Array.iteri
-      (fun i s ->
-        if not finished.(i) then begin
-          let st = Stage.exec s in
-          if Step.is_done st then begin
-            finished.(i) <- true;
-            decr remaining
-          end
-          else if Step.progressed st then progressed := true
-        end)
-      p.p_stages;
-    if !remaining > 0 then
-      if !progressed then idle_rounds := 0
-      else begin
-        incr idle_rounds;
-        if !idle_rounds = Backoff.yield_round then begin
-          (* entering the parked regime: one instant per park episode,
-             emitted from the pool's own domain into its own ring *)
-          p.p_parks <- p.p_parks + 1;
-          Evring.emit p.p_ring ~kind:park_kind ~arg:p.p_id
-        end;
-        Backoff.relax !idle_rounds
-      end
-  done
-
-let make ?(rings = [||]) (groups : Stage.t list list) =
-  Array.of_list
-    (List.mapi
-       (fun i g ->
-         {
-           p_id = i;
-           p_stages = Array.of_list g;
-           p_ring = (if i < Array.length rings then rings.(i) else Evring.null);
-           p_parks = 0;
-         })
-       groups)
-
-(* Spawn one domain per pool.  The caller joins via {!join}; stages end on
-   their own (`Done) once the upstream pipeline drains. *)
-let spawn ?rings groups =
-  let pools = make ?rings groups in
-  let domains = Array.map (fun p -> Domain.spawn (fun () -> run_pool p)) pools in
-  { pools; domains }
-
-let join t = Array.iter Domain.join t.domains
-let n_pools t = Array.length t.pools
-let parks t = Array.fold_left (fun acc p -> acc + p.p_parks) 0 t.pools
-
-(* Every stage its own pool: the degenerate grouping for stage lists with
-   no shard structure (non-PINT detectors, ad-hoc stages). *)
-let singletons stages = List.map (fun s -> [ s ]) stages
-
-(* ------------------------------------------------------------- shared pool *)
-
-(* A shared pool generalizes [spawn]/[join] from one-shot to multi-tenant:
-   K long-lived worker domains serve stage groups that arrive while the
-   pool runs (pint_serve sessions).  The pinning discipline is unchanged —
-   a submitted group is assigned to exactly one worker domain and never
-   migrates, so every single-owner invariant the stages carry still sees
-   one writing domain for its whole lifetime.  Only the handoff is
+   One loop serves both uses.  A per-run pool ([Par_exec], [Replay.run
+   ?pools]) is [shared k] + [submit] of its k groups (one per worker) +
+   [await] + [shutdown]; a long-lived daemon (pint_serve) keeps the
+   workers and submits one tenant's groups at a time.  Only the handoff is
    synchronized: a submission enqueues under the worker's mutex, and the
    worker adopts pending groups into its private active set.  Completion
    flows back through one atomic per slot, plus one countdown per lease
@@ -126,8 +43,8 @@ type worker = {
   w_pending : int Atomic.t; (* |w_incoming|, checked without the lock *)
   w_load : int Atomic.t; (* slots assigned and not yet retired *)
   mutable w_active : slot list; (* worker-domain private *)
-  w_ring : Evring.t;
-  mutable w_parks : int;
+  w_ring : Evring.t; (* the worker domain's own obs track (Evring.null off) *)
+  mutable w_parks : int; (* deep-backoff episodes: idle diagnostics *)
 }
 
 type shared = {
@@ -150,9 +67,13 @@ let adopt w =
     w.w_active <- w.w_active @ List.rev incoming
   end
 
-let step_slot sl progressed =
-  let n = Array.length sl.sl_stages in
-  for i = 0 to n - 1 do
+(* Step every unfinished stage of the slot once; true iff any step
+   progressed.  [`Idle]/[`Stalled] steps are counted by the stages
+   themselves (Stage.exec), so per-stage diagnostics stay attributable even
+   though the worker shares its domain among groups. *)
+let step_slot sl =
+  let progressed = ref false in
+  for i = 0 to Array.length sl.sl_stages - 1 do
     if not sl.sl_finished.(i) then begin
       let st = Stage.exec sl.sl_stages.(i) in
       if Step.is_done st then begin
@@ -161,37 +82,53 @@ let step_slot sl progressed =
       end
       else if Step.progressed st then progressed := true
     end
-  done
+  done;
+  !progressed
 
+(* [step_slot] runs on every slot, whatever the earlier ones returned. *)
+let rec step_slots progressed = function
+  | [] -> progressed
+  | sl :: rest -> step_slots (step_slot sl || progressed) rest
+
+let is_retired sl = sl.sl_remaining = 0
+
+let retire w sl =
+  Atomic.set sl.sl_done true;
+  Atomic.decr w.w_load;
+  (* every other slot of the lease set its [sl_done] before its own
+     decrement, so the last decrementer sees them all *)
+  if Atomic.fetch_and_add sl.sl_lease.cd_left (-1) = 1 then sl.sl_lease.cd_on_done ()
+
+(* The one stage loop: round-robin every active slot; any productive step
+   or retirement resets the backoff ladder.  A round in which no slot
+   retires allocates nothing — the active list is rebuilt only when some
+   slot has finished. *)
 let run_worker stop w =
   let idle_rounds = ref 0 in
   let running = ref true in
   while !running do
     adopt w;
-    let progressed = ref false in
-    List.iter (fun sl -> step_slot sl progressed) w.w_active;
-    let before = List.length w.w_active in
-    w.w_active <-
-      List.filter
-        (fun sl ->
-          if sl.sl_remaining = 0 then begin
-            Atomic.set sl.sl_done true;
-            Atomic.decr w.w_load;
-            (* every other slot of the lease set its [sl_done] before its
-               own decrement, so the last decrementer sees them all *)
-            if Atomic.fetch_and_add sl.sl_lease.cd_left (-1) = 1 then sl.sl_lease.cd_on_done ();
-            false
-          end
-          else true)
-        w.w_active;
-    if List.length w.w_active < before then progressed := true;
+    let progressed = step_slots false w.w_active in
+    let retired = List.exists is_retired w.w_active in
+    if retired then
+      w.w_active <-
+        List.filter
+          (fun sl ->
+            if is_retired sl then begin
+              retire w sl;
+              false
+            end
+            else true)
+          w.w_active;
     if w.w_active = [] && Atomic.get w.w_pending = 0 && Atomic.get stop then running := false
-    else if !progressed then idle_rounds := 0
+    else if progressed || retired then idle_rounds := 0
     else begin
       incr idle_rounds;
       if !idle_rounds = Backoff.yield_round then begin
+        (* entering the parked regime: one instant per park episode,
+           emitted from the worker's own domain into its own ring *)
         w.w_parks <- w.w_parks + 1;
-        Evring.emit w.w_ring ~kind:park_kind ~arg:w.w_id
+        Evring.emit w.w_ring ~kind:Ev.park ~arg:w.w_id
       end;
       Backoff.relax !idle_rounds
     end
@@ -233,8 +170,8 @@ let submit ?(on_done = ignore) sh (groups : Stage.t list list) : lease =
           sl_lease = lease;
         }
       in
-      (* least-loaded worker; round-robin cursor breaks ties so equal-load
-         workers share admission evenly *)
+      (* least-loaded worker; the round-robin cursor breaks ties, so k
+         groups submitted to a fresh k-worker pool land one per worker *)
       let k = Array.length sh.sh_workers in
       let start = Atomic.fetch_and_add sh.sh_rr 1 mod k in
       let best = ref sh.sh_workers.(start) in

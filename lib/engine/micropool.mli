@@ -1,39 +1,16 @@
-(** Shard micropools: one pinned domain per stage group.
+(** Shard micropools: stage groups pinned to worker domains.
 
-    Each pool domain cooperatively round-robins its own stages (for PINT,
-    one shard's {writer, lreader, rreader} treap triple) until all report
-    [`Done], backing off with {!Backoff} when the whole group is
-    unproductive.  Stages never migrate between domains, preserving every
-    single-owner invariant they rely on (OWNERSHIP.md).  See DESIGN.md
-    §13. *)
-
-type t
-
-(** [spawn ?rings groups] — one domain per group.  [rings.(i)], when
-    given, is pool [i]'s observability track (park events are emitted into
-    it from the pool's own domain). *)
-val spawn : ?rings:Evring.t array -> Stage.t list list -> t
-
-(** Wait for every pool domain; returns once all stages are [`Done]. *)
-val join : t -> unit
-
-val n_pools : t -> int
-
-(** Deep-backoff park episodes, summed over pools (idle diagnostics). *)
-val parks : t -> int
-
-(** The degenerate grouping: every stage is its own pool. *)
-val singletons : Stage.t list -> Stage.t list list
-
-(** {2 Shared pools}
-
-    Multi-tenant variant for long-lived services (pint_serve): [k] worker
-    domains outlive any one detector, and stage groups are submitted while
-    the pool runs.  A submitted group is assigned to exactly one worker
-    and never migrates — the same pinning discipline as {!spawn}, so every
-    single-owner invariant still sees one writing domain — and each worker
-    round-robins all the groups currently assigned to it.  See DESIGN.md
-    §14. *)
+    [k] worker domains each cooperatively round-robin the stage groups
+    assigned to them (for PINT, one group is one shard's {writer, lreader,
+    rreader} treap triple) until every stage reports [`Done], backing off
+    with {!Backoff} when everything a worker holds is unproductive.  A
+    submitted group is assigned to exactly one worker and never migrates,
+    so every single-owner invariant the stages rely on still sees one
+    writing domain (OWNERSHIP.md).  The workers may outlive any one
+    detector: a per-run pool ([Par_exec], [Replay.run ?pools]) is
+    [shared k] + one {!submit} of its [k] groups + {!await} + {!shutdown};
+    a long-lived service (pint_serve) submits one tenant's groups at a
+    time.  See DESIGN.md §13 and §14.3. *)
 
 type shared
 
@@ -45,9 +22,11 @@ type lease
 val shared : ?rings:Evring.t array -> int -> shared
 
 (** [submit ?on_done sh groups] assigns each group to the least-loaded
-    worker.  The groups' stages must not be driven by anyone else from this
-    point; they run until each reports [`Done] (for a detector: after its
-    run's [on_done] has fired and its lanes drained).
+    worker, ties broken round-robin, so [k] groups submitted to a fresh
+    [k]-worker pool run one per worker domain.  The groups' stages must
+    not be driven by anyone else from this point; they run until each
+    reports [`Done] (for a detector: after its run's [on_done] has fired
+    and its lanes drained).
 
     [on_done] fires exactly once per lease, once {!lease_done} reads true:
     on the worker domain that retires the lease's last group, or on the

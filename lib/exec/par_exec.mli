@@ -26,9 +26,9 @@ type config = {
   n_workers : int;
   seed : int;  (** victim-selection seed (schedules remain nondeterministic) *)
   pools : Stage.t list list;
-      (** pipeline stage groups, one pinned micropool domain each; for the
-          PINT detector use {!Pint_detector.stage_pools} (one group per
-          shard), or {!Micropool.singletons} for ungrouped stage lists *)
+      (** pipeline stage groups, one pinned micropool worker domain each;
+          for the PINT detector use {!Pint_detector.stage_pools} (one group
+          per shard); [[]] spawns no pool domain *)
   obs : Obs.t;
       (** observability session for the per-domain tracks ([core<w>] steal
           and park instants, [pool<k>] park instants); {!Obs.disabled} (the

@@ -53,158 +53,23 @@ let push_effects ~aspace ~(sink : Access.sink) (e : Tracefile.entry) (r : Srec.t
   r.Srec.finished_at <- e.Tracefile.finished_at;
   r.Srec.cost <- e.Tracefile.cost
 
-let drive ?aspace ?on_strand (tf : Tracefile.t) (driver : Hooks.driver) =
-  let aspace = match aspace with Some a -> a | None -> Aspace.create () in
-  let by_uid = Hashtbl.create (max 16 (Tracefile.entry_count tf)) in
-  Array.iter (fun (e : Tracefile.entry) -> Hashtbl.replace by_uid e.Tracefile.uid e) tf.Tracefile.entries;
-  (* an entry's index in the file is its observed-schedule position: entries
-     are written in finish order, which is a linearization of the strand DAG *)
-  let pos_of = Hashtbl.create (max 16 (Tracefile.entry_count tf)) in
-  Array.iteri (fun i (e : Tracefile.entry) -> Hashtbl.replace pos_of e.Tracefile.uid i)
-    tf.Tracefile.entries;
-  let entry uid =
-    match Hashtbl.find_opt by_uid uid with
-    | Some e -> e
-    | None -> corrupt "trace links to unknown strand uid %d" uid
-  in
-  let sp, root_sp = Sp_order.create () in
-  let next_uid = ref 0 in
-  let fresh s =
-    incr next_uid;
-    Srec.make ~uid:!next_uid s
-  in
-  let root_rec = fresh root_sp in
-  let cur = ref root_rec in
-  let ctx = { Hooks.aspace; sp; n_workers = 1; current = (fun ~wid:_ -> !cur) } in
-  let hooks = driver ctx in
-  let sink = hooks.Hooks.sink ~wid:0 in
-  let note (e : Tracefile.entry) r =
-    match on_strand with
-    | None -> ()
-    | Some f -> f ~sp ~pos:(Hashtbl.find pos_of e.Tracefile.uid) e r
-  in
-  let feed e r =
-    push_effects ~aspace ~sink e r;
-    note e r
-  in
-  (* Canonical depth-first walk.  [chain] replays the strand [e] as record
-     [r], then follows the recorded DAG: a spawn recurses into the child
-     scope and tail-continues with the continuation; a sync pass
-     tail-continues with the block's sync strand; a return (or the root's
-     final strand) ends the chain.  Stolen/trivial flags from the capture
-     schedule are deliberately dropped — replay is the serial elision. *)
-  let rec chain (e : Tracefile.entry) (r : Srec.t) (start : Events.start_kind)
-      (blocks : block list ref) ~(parent_sync : Srec.t option) =
-    cur := r;
-    hooks.Hooks.on_start ~wid:0 r start;
-    feed e r;
-    match e.Tracefile.finish with
-    | Tracefile.Spawn { cont; sync; child; first } ->
-        let sync_pre, open_block =
-          if first then (None, None)
-          else
-            match !blocks with
-            | top :: _ ->
-                if top.b_uid <> sync then
-                  corrupt "strand %d: spawn links sync %d but the open block's sync is %d"
-                    e.Tracefile.uid sync top.b_uid;
-                (Some top.b_sp, Some top)
-            | [] -> corrupt "strand %d: non-first spawn with no open sync block" e.Tracefile.uid
-        in
-        let child_sp, cont_sp, sync_sp = Sp_order.spawn sp ~sync_pre r.Srec.sp in
-        let cont_rec = fresh cont_sp in
-        let sync_rec =
-          match open_block with
-          | Some b ->
-              b.b_sp <- sync_sp;
-              b.b_rec
-          | None ->
-              let sr = fresh sync_sp in
-              blocks := { b_sp = sync_sp; b_rec = sr; b_uid = sync } :: !blocks;
-              sr
-        in
-        Book.at_spawn ~u:r ~cont:cont_rec ~sync:sync_rec ~first;
-        hooks.Hooks.on_finish ~wid:0 r
-          (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
-        let child_sr = fresh child_sp in
-        chain (entry child) child_sr Events.S_child (ref []) ~parent_sync:(Some sync_rec);
-        chain (entry cont) cont_rec (Events.S_cont { stolen = false }) blocks ~parent_sync
-    | Tracefile.Sync { trivial = _; sync } ->
-        let top, rest =
-          match !blocks with
-          | top :: rest -> (top, rest)
-          | [] -> corrupt "strand %d: sync finish with no open sync block" e.Tracefile.uid
-        in
-        if top.b_uid <> sync then
-          corrupt "strand %d: sync finish links sync %d but the open block's sync is %d"
-            e.Tracefile.uid sync top.b_uid;
-        hooks.Hooks.on_finish ~wid:0 r (Events.F_sync { trivial = true; sync = top.b_rec });
-        blocks := rest;
-        chain (entry sync) top.b_rec (Events.S_after_sync { trivial = true }) blocks ~parent_sync
-    | Tracefile.Return _ ->
-        if !blocks <> [] then corrupt "strand %d: return with %d open sync block(s)"
-            e.Tracefile.uid (List.length !blocks);
-        hooks.Hooks.on_finish ~wid:0 r (Events.F_return { cont_stolen = false; parent_sync })
-    | Tracefile.Root ->
-        if !blocks <> [] then corrupt "strand %d: root finish with %d open sync block(s)"
-            e.Tracefile.uid (List.length !blocks);
-        hooks.Hooks.on_finish ~wid:0 r Events.F_root
-  in
-  let root_entry = try Tracefile.root tf with Tracefile.Error m -> raise (Corrupt m) in
-  (try chain root_entry root_rec Events.S_root (ref []) ~parent_sync:None
-   with Tracefile.Error m -> raise (Corrupt m));
-  hooks.Hooks.on_done ();
-  if !next_uid <> Tracefile.entry_count tf then
-    corrupt "replay visited %d strands but the trace holds %d" !next_uid
-      (Tracefile.entry_count tf);
-  !next_uid
+(* ---------------------------------------------------------------- the walk *)
 
-let run ?aspace ?(wrap = fun d -> d) ?pools ?on_strand tf (d : Detector.t) =
-  (* Real-domain replay: the detector's pipeline stages run on shard
-     micropool domains concurrently with the (still single-threaded,
-     deterministic) strand feed — the same producer/consumer topology as a
-     live [Par_exec] run, driven from a reproducible schedule.  The pools
-     must not spawn until the detector's driver has set up its run (a
-     stage stepped before that fails), so the spawn rides a driver wrapper
-     that fires right after hook creation — the same ordering [Par_exec]
-     gets by construction.  [drive]'s final [on_done] lets every stage
-     reach [`Done], so the join below terminates; the drain after it is
-     then a no-op pass that only publishes latencies. *)
-  let mp = ref None in
-  let spawn_pools driver ctx =
-    let hooks = driver ctx in
-    (match pools with
-    | Some ps when !mp = None -> mp := Some (Micropool.spawn ps)
-    | _ -> ());
-    hooks
-  in
-  let n = drive ?aspace ?on_strand tf (spawn_pools (wrap d.Detector.driver)) in
-  (match !mp with Some p -> Micropool.join p | None -> ());
-  d.Detector.drain ();
-  {
-    detector = d.Detector.name;
-    n_strands = n;
-    races = Report.races d.Detector.report;
-    diagnostics = d.Detector.diagnostics ();
-  }
-
-(* ---------------------------------------------------------------- sessions *)
-
-(* Push-driven replay: the same canonical depth-first walk as [drive], but
-   defunctionalized so it can suspend whenever the next strand's entry has
-   not arrived yet.  [drive]'s recursion encodes "what to replay next" in
-   the call stack; here it is an explicit stack of pending strands — a
-   spawn pushes its continuation and then its child (child on top = DFS),
-   a sync pushes the block's sync strand.  The walk advances exactly while
-   the top-of-stack uid is decodable, so a serially-captured trace (entries
-   in finish order = DFS order) replays with O(1) strands buffered, and a
-   parallel capture buffers only its schedule skew.
-
-   Replay-side uid assignment follows [drive]'s [fresh] order exactly
-   (cont, then sync, then child, then the child subtree), so a session
-   yields race sets bit-identical to the offline replay at the Theorem-5
-   (kind, prior, current) granularity — not merely equivalent. *)
-module Session = struct
+(* The canonical depth-first walk: the one place a strand is replayed.
+   Entries are offered as they become available (a whole file's array for
+   [drive], decoded stream chunks for a [Session]), and the walk advances
+   exactly while the next strand's entry has arrived, so it can suspend
+   wherever the input is still short.  Pending strands live on an explicit
+   stack: a spawn pushes its continuation and then its child (child on top
+   = DFS), a sync pushes the block's sync strand, a return (or the root's
+   final strand) ends the chain.  Replay records get uids in creation
+   order (continuation, first-sync, child, then the child subtree), so
+   every caller sees the same strand ids and, by Theorem 5, the same race
+   set.  Stolen/trivial flags from the capture schedule are deliberately
+   dropped — replay is the serial elision.  A serially captured trace
+   (entries in finish order = DFS order) replays with O(1) entries
+   buffered; a parallel capture buffers only its schedule skew. *)
+module Walker = struct
   type pend = {
     p_uid : int; (* trace uid of the entry this strand replays *)
     p_rec : Srec.t;
@@ -214,72 +79,64 @@ module Session = struct
   }
 
   type t = {
-    s_det : Detector.t;
-    s_dec : Tracefile.Decoder.t;
-    s_aspace : Aspace.t;
-    s_hooks : Hooks.t;
-    s_sink : Access.sink;
-    s_sp : Sp_order.t;
-    s_cur : Srec.t ref;
-    s_next_uid : int ref;
-    s_root_rec : Srec.t;
-    s_by_uid : (int, Tracefile.entry) Hashtbl.t; (* arrived, not yet replayed *)
-    s_pos : (int, int) Hashtbl.t; (* uid -> arrival order = observed position *)
-    s_on_strand : strand_observer option;
-    s_seen : (Report.kind * int * int, unit) Hashtbl.t; (* races already returned *)
-    mutable s_stack : pend list; (* DFS work stack; hd is next *)
-    mutable s_started : bool; (* root entry arrived *)
-    mutable s_visited : int; (* strands replayed *)
-    mutable s_done : bool; (* on_done fired (eof or abort) *)
+    w_aspace : Aspace.t;
+    w_hooks : Hooks.t;
+    w_sink : Access.sink;
+    w_sp : Sp_order.t;
+    w_cur : Srec.t ref;
+    w_root_rec : Srec.t;
+    w_on_strand : strand_observer option;
+    (* arrived, not yet replayed: uid -> (entry, arrival order) — arrival
+       order is the observed-schedule position, the entry's index in the
+       file *)
+    w_by_uid : (int, Tracefile.entry * int) Hashtbl.t;
+    mutable w_arrived : int; (* entries offered *)
+    mutable w_next_uid : int; (* last replay uid assigned *)
+    mutable w_stack : pend list; (* DFS work stack; hd is next *)
+    mutable w_started : bool; (* root entry arrived *)
+    mutable w_visited : int; (* strands replayed *)
+    mutable w_done : bool; (* on_done fired (end of input or abort) *)
   }
 
-  let create ?aspace ?(wrap = fun d -> d) ?max_pending ?on_strand (det : Detector.t) =
+  (* Hooks are created eagerly: a caller running the detector's stages on
+     pool domains submits them right after [create], which requires the
+     driver's run to be set up. *)
+  let create ?aspace ?on_strand (driver : Hooks.driver) =
     let aspace = match aspace with Some a -> a | None -> Aspace.create () in
     let sp, root_sp = Sp_order.create () in
-    let next_uid = ref 0 in
-    incr next_uid;
-    let root_rec = Srec.make ~uid:!next_uid root_sp in
+    let root_rec = Srec.make ~uid:1 root_sp in
     let cur = ref root_rec in
-    let ctx = { Hooks.aspace; sp; n_workers = 1; current = (fun ~wid:_ -> !cur) } in
-    (* hooks are created eagerly: a caller sharing pool domains may submit
-       the detector's stages right after [create], which requires the
-       driver's run to be set up — the same ordering [run ?pools] gets from
-       its driver wrapper. *)
-    let hooks = (wrap det.Detector.driver) ctx in
+    let hooks = driver { Hooks.aspace; sp; n_workers = 1; current = (fun ~wid:_ -> !cur) } in
     {
-      s_det = det;
-      s_dec = Tracefile.Decoder.create ?max_pending ();
-      s_aspace = aspace;
-      s_hooks = hooks;
-      s_sink = hooks.Hooks.sink ~wid:0;
-      s_sp = sp;
-      s_cur = cur;
-      s_next_uid = next_uid;
-      s_root_rec = root_rec;
-      s_by_uid = Hashtbl.create 256;
-      s_pos = Hashtbl.create 256;
-      s_on_strand = on_strand;
-      s_seen = Hashtbl.create 64;
-      s_stack = [];
-      s_started = false;
-      s_visited = 0;
-      s_done = false;
+      w_aspace = aspace;
+      w_hooks = hooks;
+      w_sink = hooks.Hooks.sink ~wid:0;
+      w_sp = sp;
+      w_cur = cur;
+      w_root_rec = root_rec;
+      w_on_strand = on_strand;
+      w_by_uid = Hashtbl.create 256;
+      w_arrived = 0;
+      w_next_uid = 1;
+      w_stack = [];
+      w_started = false;
+      w_visited = 0;
+      w_done = false;
     }
 
-  let fresh t s =
-    incr t.s_next_uid;
-    Srec.make ~uid:!(t.s_next_uid) s
+  let fresh w s =
+    w.w_next_uid <- w.w_next_uid + 1;
+    Srec.make ~uid:w.w_next_uid s
 
-  (* The body of [drive]'s [chain], minus the recursion. *)
-  let exec_strand t (p : pend) (e : Tracefile.entry) =
+  (* Replay strand [p] from its entry [e], then push what the recorded DAG
+     says runs next. *)
+  let replay_strand w (p : pend) (e : Tracefile.entry) pos =
     let r = p.p_rec in
-    t.s_cur := r;
-    t.s_hooks.Hooks.on_start ~wid:0 r p.p_start;
-    push_effects ~aspace:t.s_aspace ~sink:t.s_sink e r;
-    (match t.s_on_strand with
-    | None -> ()
-    | Some f -> f ~sp:t.s_sp ~pos:(Hashtbl.find t.s_pos e.Tracefile.uid) e r);
-    t.s_visited <- t.s_visited + 1;
+    w.w_cur := r;
+    w.w_hooks.Hooks.on_start ~wid:0 r p.p_start;
+    push_effects ~aspace:w.w_aspace ~sink:w.w_sink e r;
+    (match w.w_on_strand with None -> () | Some f -> f ~sp:w.w_sp ~pos e r);
+    w.w_visited <- w.w_visited + 1;
     match e.Tracefile.finish with
     | Tracefile.Spawn { cont; sync; child; first } ->
         let blocks = p.p_blocks in
@@ -294,23 +151,23 @@ module Session = struct
                 (Some top.b_sp, Some top)
             | [] -> corrupt "strand %d: non-first spawn with no open sync block" e.Tracefile.uid
         in
-        let child_sp, cont_sp, sync_sp = Sp_order.spawn t.s_sp ~sync_pre r.Srec.sp in
-        let cont_rec = fresh t cont_sp in
+        let child_sp, cont_sp, sync_sp = Sp_order.spawn w.w_sp ~sync_pre r.Srec.sp in
+        let cont_rec = fresh w cont_sp in
         let sync_rec =
           match open_block with
           | Some b ->
               b.b_sp <- sync_sp;
               b.b_rec
           | None ->
-              let sr = fresh t sync_sp in
+              let sr = fresh w sync_sp in
               blocks := { b_sp = sync_sp; b_rec = sr; b_uid = sync } :: !blocks;
               sr
         in
         Book.at_spawn ~u:r ~cont:cont_rec ~sync:sync_rec ~first;
-        t.s_hooks.Hooks.on_finish ~wid:0 r
+        w.w_hooks.Hooks.on_finish ~wid:0 r
           (Events.F_spawn { cont = cont_rec; sync = sync_rec; first_of_block = first });
-        let child_rec = fresh t child_sp in
-        t.s_stack <-
+        let child_rec = fresh w child_sp in
+        w.w_stack <-
           {
             p_uid = child;
             p_rec = child_rec;
@@ -325,7 +182,7 @@ module Session = struct
                p_blocks = blocks;
                p_parent_sync = p.p_parent_sync;
              }
-          :: t.s_stack
+          :: w.w_stack
     | Tracefile.Sync { trivial = _; sync } ->
         let top, rest =
           match !(p.p_blocks) with
@@ -335,9 +192,9 @@ module Session = struct
         if top.b_uid <> sync then
           corrupt "strand %d: sync finish links sync %d but the open block's sync is %d"
             e.Tracefile.uid sync top.b_uid;
-        t.s_hooks.Hooks.on_finish ~wid:0 r (Events.F_sync { trivial = true; sync = top.b_rec });
+        w.w_hooks.Hooks.on_finish ~wid:0 r (Events.F_sync { trivial = true; sync = top.b_rec });
         p.p_blocks := rest;
-        t.s_stack <-
+        w.w_stack <-
           {
             p_uid = sync;
             p_rec = top.b_rec;
@@ -345,34 +202,137 @@ module Session = struct
             p_blocks = p.p_blocks;
             p_parent_sync = p.p_parent_sync;
           }
-          :: t.s_stack
+          :: w.w_stack
     | Tracefile.Return _ ->
         if !(p.p_blocks) <> [] then
           corrupt "strand %d: return with %d open sync block(s)" e.Tracefile.uid
             (List.length !(p.p_blocks));
-        t.s_hooks.Hooks.on_finish ~wid:0 r
+        w.w_hooks.Hooks.on_finish ~wid:0 r
           (Events.F_return { cont_stolen = false; parent_sync = p.p_parent_sync })
     | Tracefile.Root ->
         if !(p.p_blocks) <> [] then
           corrupt "strand %d: root finish with %d open sync block(s)" e.Tracefile.uid
             (List.length !(p.p_blocks));
-        t.s_hooks.Hooks.on_finish ~wid:0 r Events.F_root
+        w.w_hooks.Hooks.on_finish ~wid:0 r Events.F_root
 
   (* Replay as far as the arrived entries allow. *)
-  let advance t =
-    let rec go () =
-      match t.s_stack with
-      | p :: rest -> (
-          match Hashtbl.find_opt t.s_by_uid p.p_uid with
-          | Some e ->
-              Hashtbl.remove t.s_by_uid p.p_uid;
-              t.s_stack <- rest;
-              exec_strand t p e;
-              go ()
-          | None -> ())
-      | [] -> ()
-    in
-    go ()
+  let rec advance w =
+    match w.w_stack with
+    | p :: rest -> (
+        match Hashtbl.find_opt w.w_by_uid p.p_uid with
+        | Some (e, pos) ->
+            Hashtbl.remove w.w_by_uid p.p_uid;
+            w.w_stack <- rest;
+            replay_strand w p e pos;
+            advance w
+        | None -> ())
+    | [] -> ()
+
+  (* Make one entry available.  Only the entry the walk is waiting for
+     (the top of the stack) can unblock it. *)
+  let offer w (e : Tracefile.entry) =
+    if e.Tracefile.start = Events.S_root then begin
+      if w.w_started then corrupt "trace has more than one root strand";
+      w.w_started <- true;
+      w.w_stack <-
+        {
+          p_uid = e.Tracefile.uid;
+          p_rec = w.w_root_rec;
+          p_start = Events.S_root;
+          p_blocks = ref [];
+          p_parent_sync = None;
+        }
+        :: w.w_stack
+    end;
+    Hashtbl.replace w.w_by_uid e.Tracefile.uid (e, w.w_arrived);
+    w.w_arrived <- w.w_arrived + 1;
+    match w.w_stack with p :: _ when p.p_uid = e.Tracefile.uid -> advance w | _ -> ()
+
+  (* End of input: every one of the [expected] entries replayed exactly
+     once from a single root; then [on_done] lets the detector's pipeline
+     stages reach [`Done]. *)
+  let finish w ~expected =
+    (match w.w_stack with
+    | p :: _ -> corrupt "trace links to unknown strand uid %d" p.p_uid
+    | [] -> ());
+    if not w.w_started then corrupt "trace has no root strand";
+    if w.w_visited <> expected then
+      corrupt "replay visited %d strands but the trace holds %d" w.w_visited expected;
+    if Hashtbl.length w.w_by_uid <> 0 then
+      corrupt "trace holds %d strand(s) unreachable from the root" (Hashtbl.length w.w_by_uid);
+    w.w_done <- true;
+    w.w_hooks.Hooks.on_done ()
+
+  (* End a failed walk so pipeline stages still reach [`Done] and pool
+     domains are not wedged on a dead run.  Idempotent. *)
+  let abort w =
+    if not w.w_done then begin
+      w.w_done <- true;
+      w.w_hooks.Hooks.on_done ()
+    end
+
+  (* A whole in-memory trace, in file order. *)
+  let walk w (tf : Tracefile.t) =
+    Array.iter (offer w) tf.Tracefile.entries;
+    finish w ~expected:(Tracefile.entry_count tf);
+    w.w_visited
+end
+
+let drive ?aspace ?on_strand tf driver = Walker.walk (Walker.create ?aspace ?on_strand driver) tf
+
+let run ?aspace ?(wrap = fun d -> d) ?(pools = []) ?on_strand tf (d : Detector.t) =
+  (* Real-domain replay: the detector's pipeline stages run on a shared
+     micropool concurrently with the (still single-threaded, deterministic)
+     strand feed — the same producer/consumer topology as a live
+     [Par_exec] run, driven from a reproducible schedule.  The walker sets
+     up the detector's run before the stages are submitted; whether the
+     walk ends or fails, [on_done] lets every stage reach [`Done], so the
+     lease completes and the pool shuts down.  The drain after it is then
+     a no-op pass that only publishes latencies. *)
+  let w = Walker.create ?aspace ?on_strand (wrap d.Detector.driver) in
+  let n =
+    match pools with
+    | [] -> Walker.walk w tf
+    | groups ->
+        let sh = Micropool.shared (List.length groups) in
+        let lease = Micropool.submit sh groups in
+        Fun.protect
+          ~finally:(fun () ->
+            Walker.abort w;
+            Micropool.await lease;
+            Micropool.shutdown sh)
+          (fun () -> Walker.walk w tf)
+  in
+  d.Detector.drain ();
+  {
+    detector = d.Detector.name;
+    n_strands = n;
+    races = Report.races d.Detector.report;
+    diagnostics = d.Detector.diagnostics ();
+  }
+
+(* ---------------------------------------------------------------- sessions *)
+
+(* Push-driven replay: a walker fed from an incremental decoder.  Entries
+   arrive in stream order — the same observed-schedule positions offline
+   replay reads off the file — so a session's race set is bit-identical to
+   the offline replay's at the Theorem-5 (kind, prior, current)
+   granularity. *)
+module Session = struct
+  type t = {
+    s_det : Detector.t;
+    s_dec : Tracefile.Decoder.t;
+    s_walk : Walker.t;
+    s_seen : (Report.kind * int * int, unit) Hashtbl.t; (* races already returned *)
+  }
+
+  let create ?aspace ?(wrap = fun d -> d) ?max_pending ?on_strand (det : Detector.t) =
+    {
+      s_det = det;
+      s_dec = Tracefile.Decoder.create ?max_pending ();
+      s_walk = Walker.create ?aspace ?on_strand (wrap det.Detector.driver);
+      s_seen = Hashtbl.create 64;
+    }
 
   (* Races reported since the last call, at Theorem-5 key granularity.
      [Report.races] is safe to poll while pool domains are still adding. *)
@@ -387,79 +347,39 @@ module Session = struct
         end)
       (Report.races t.s_det.Detector.report)
 
-  let drain_decoded t =
-    let rec go () =
-      match Tracefile.Decoder.next t.s_dec with
-      | None -> ()
-      | Some e ->
-          if e.Tracefile.start = Events.S_root then begin
-            if t.s_started then corrupt "trace has more than one root strand";
-            t.s_started <- true;
-            t.s_stack <-
-              {
-                p_uid = e.Tracefile.uid;
-                p_rec = t.s_root_rec;
-                p_start = Events.S_root;
-                p_blocks = ref [];
-                p_parent_sync = None;
-              }
-              :: t.s_stack
-          end;
-          (* arrival order is the stream's entry order — the same observed
-             position [drive] reads off the entries array of a whole file *)
-          if not (Hashtbl.mem t.s_pos e.Tracefile.uid) then
-            Hashtbl.replace t.s_pos e.Tracefile.uid (Hashtbl.length t.s_pos);
-          Hashtbl.replace t.s_by_uid e.Tracefile.uid e;
-          go ()
-    in
-    go ()
+  let rec offer_decoded t =
+    match Tracefile.Decoder.next t.s_dec with
+    | None -> ()
+    | Some e ->
+        Walker.offer t.s_walk e;
+        offer_decoded t
 
   let feed t ?pos ?len chunk =
-    if t.s_done then invalid_arg "Replay.Session.feed: session already finished";
+    if t.s_walk.Walker.w_done then invalid_arg "Replay.Session.feed: session already finished";
     Tracefile.Decoder.feed t.s_dec ?pos ?len chunk;
-    drain_decoded t;
-    advance t;
+    offer_decoded t;
     new_races t
 
   let eof t =
-    if t.s_done then invalid_arg "Replay.Session.eof: session already finished";
+    if t.s_walk.Walker.w_done then invalid_arg "Replay.Session.eof: session already finished";
     Tracefile.Decoder.finish t.s_dec;
-    drain_decoded t;
-    advance t;
-    (match t.s_stack with
-    | p :: _ -> corrupt "trace links to unknown strand uid %d" p.p_uid
-    | [] -> ());
-    if not t.s_started then corrupt "trace has no root strand";
-    let expected =
-      match Tracefile.Decoder.entries_expected t.s_dec with Some n -> n | None -> 0
-    in
-    if t.s_visited <> expected then
-      corrupt "replay visited %d strands but the trace holds %d" t.s_visited expected;
-    if Hashtbl.length t.s_by_uid <> 0 then
-      corrupt "trace holds %d strand(s) unreachable from the root" (Hashtbl.length t.s_by_uid);
-    t.s_done <- true;
-    t.s_hooks.Hooks.on_done ();
+    offer_decoded t;
+    Walker.finish t.s_walk
+      ~expected:(Option.value ~default:0 (Tracefile.Decoder.entries_expected t.s_dec));
     new_races t
 
-  (* Terminate a failed session's run so pipeline stages still reach
-     [`Done] and shared pool domains are not wedged on a dead tenant. *)
-  let abort t =
-    if not t.s_done then begin
-      t.s_done <- true;
-      t.s_hooks.Hooks.on_done ()
-    end
-
+  let abort t = Walker.abort t.s_walk
   let poll_races t = new_races t
-  let finished t = t.s_done
-  let fed_strands t = t.s_visited
+  let finished t = t.s_walk.Walker.w_done
+  let fed_strands t = t.s_walk.Walker.w_visited
   let fed_bytes t = Tracefile.Decoder.fed_bytes t.s_dec
   let meta t = Option.map snd (Tracefile.Decoder.header t.s_dec)
 
   let outcome t =
-    if not t.s_done then invalid_arg "Replay.Session.outcome: session still streaming";
+    if not (finished t) then invalid_arg "Replay.Session.outcome: session still streaming";
     {
       detector = t.s_det.Detector.name;
-      n_strands = t.s_visited;
+      n_strands = fed_strands t;
       races = Report.races t.s_det.Detector.report;
       diagnostics = t.s_det.Detector.diagnostics ();
     }

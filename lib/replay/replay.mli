@@ -47,20 +47,25 @@ type strand_observer = sp:Sp_order.t -> pos:int -> Tracefile.entry -> Srec.t -> 
 
 (** [drive ?aspace ?on_strand trace driver] — low-level: replay the trace
     through a raw hook driver (fires [on_start]/sink/[on_finish] per strand,
-    then [on_done]).  Returns the number of strands replayed.  [aspace]
-    defaults to a fresh address space; recorded frees are {!Aspace.reserve}d
-    before being forwarded so the detectors' deferred-free handling runs as
-    live.  [on_strand] observes every strand as it replays.
-    @raise Corrupt if the trace's DAG links are inconsistent. *)
+    then [on_done]).  Returns the number of strands replayed.  The entries
+    are offered to the same canonical walk a {!Session} runs, in file order,
+    followed by the same end-of-input checks.  [aspace] defaults to a fresh
+    address space; recorded frees are {!Aspace.reserve}d before being
+    forwarded so the detectors' deferred-free handling runs as live.
+    [on_strand] observes every strand as it replays.
+    @raise Corrupt if the trace's DAG links are inconsistent: a dangling
+    link, no root or more than one root strand, or a strand unreachable
+    from the root. *)
 val drive : ?aspace:Aspace.t -> ?on_strand:strand_observer -> Tracefile.t -> Hooks.driver -> int
 
 (** [run ?aspace ?wrap ?pools trace det] — replay through a detector
     instance and drain its pipeline.  The detector must be fresh (one
-    instance per replay).  [wrap] (default identity) is applied to the
-    detector's driver before replay — e.g. {!Obs_hooks.instrument} to
-    profile a replay.  [pools] (default: none — the pipeline drains
-    synchronously after the feed) runs the detector's stage groups on
-    {!Micropool} domains concurrently with the strand feed, e.g.
+    instance per replay); it replays with the walk {!drive} runs.  [wrap]
+    (default identity) is applied to the detector's driver before replay —
+    e.g. {!Obs_hooks.instrument} to profile a replay.  [pools] (default:
+    none — the pipeline drains synchronously after the feed) runs the
+    detector's stage groups on a {!Micropool.shared} pool, one worker per
+    group, concurrently with the strand feed, e.g.
     [Pint_detector.stage_pools] for a real-domain golden diff; pair it
     with {!Pint_detector.set_backpressure} so the collector waits out
     momentarily-full lanes instead of rejecting.  [on_strand] observes every
@@ -82,11 +87,10 @@ val run :
     A session owns one fresh detector and one {!Tracefile.Decoder}: callers
     {!Session.feed} socket-sized chunks as they arrive, and the session
     replays every strand whose entry (and whose DFS predecessors) have
-    decoded — the same canonical serial-elision walk as {!run}, suspended
-    wherever the stream is still short.  Race sets are bit-identical to the
-    offline replay of the completed file at the Theorem-5 (kind, prior,
-    current) granularity, because replay-side uid assignment follows the
-    exact same depth-first order.
+    decoded — the very walk {!drive} runs, suspended wherever the stream is
+    still short.  Race sets are therefore bit-identical to the offline
+    replay of the completed file at the Theorem-5 (kind, prior, current)
+    granularity.
 
     Like {!run}'s [pools] mode, the detector's pipeline stages may run on
     real domains concurrently with the feed: create the session first (the

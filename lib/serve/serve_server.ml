@@ -301,8 +301,10 @@ let handle_readable t c =
   | n ->
       guard t c (fun () ->
           Serve_proto.Frames.feed c.c_in ~len:n (Bytes.unsafe_to_string read_chunk);
+          (* a failed connection reads no further frames: one write of N
+             frames must get one reject, not N *)
           let continue = ref true in
-          while !continue do
+          while !continue && c.c_phase <> Closing do
             match Serve_proto.Frames.next c.c_in with
             | Some payload -> handle_msg t c (Serve_proto.decode_client payload)
             | None -> continue := false

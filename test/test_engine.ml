@@ -193,6 +193,42 @@ let test_on_done_aborted_session () =
   check_int "fired exactly once" 1 (Atomic.get w.fired);
   check_bool "fired after lease_done" false (Atomic.get w.early)
 
+(* Pinning through the shared pool: k groups submitted to a fresh k-worker
+   pool run one group per worker domain, and no stage ever changes domain.
+   Each stage records the domain of every step it takes.  A [Par_exec] run
+   without stage groups starts no pool: only its core workers. *)
+let test_pinning () =
+  let k = 3 and per_group = 2 in
+  let seen = Array.init k (fun _ -> Array.init per_group (fun _ -> ref [])) in
+  let stage g i =
+    let steps = ref 0 in
+    Stage.make ~name:(Printf.sprintf "g%d.s%d" g i) (fun () ->
+        let d = (Domain.self () :> int) in
+        let cell = seen.(g).(i) in
+        if not (List.mem d !cell) then cell := d :: !cell;
+        incr steps;
+        if !steps >= 50 then Step.finished else Step.worked 1)
+  in
+  let pool = Micropool.shared k in
+  Micropool.await (Micropool.submit pool (List.init k (fun g -> List.init per_group (stage g))));
+  Micropool.shutdown pool;
+  let group_domain g =
+    Array.iteri
+      (fun i cell ->
+        check_int (Printf.sprintf "g%d.s%d ran on one domain" g i) 1 (List.length !cell))
+      seen.(g);
+    let d = List.hd !(seen.(g).(0)) in
+    Array.iter
+      (fun cell -> check_int (Printf.sprintf "g%d shares a domain" g) d (List.hd !cell))
+      seen.(g);
+    d
+  in
+  let ds = List.init k group_domain in
+  check_int "one domain per group" k (List.length (List.sort_uniq compare ds));
+  let config = { Par_exec.default_config with n_workers = 2; pools = [] } in
+  let r = Par_exec.run ~config ~driver:(fun _ -> Hooks.null_hooks) (fun () -> ()) in
+  check_int "n_domains = n_workers" 2 r.Par_exec.n_domains
+
 let () =
   Alcotest.run "pint_engine"
     [
@@ -214,5 +250,6 @@ let () =
             (check_on_done ~leases:8 ~groups:4);
           Alcotest.test_case "on_done: empty lease" `Quick test_on_done_empty_lease;
           Alcotest.test_case "on_done: aborted session" `Quick test_on_done_aborted_session;
+          Alcotest.test_case "one group per fresh worker" `Quick test_pinning;
         ] );
     ]

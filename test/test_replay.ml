@@ -231,7 +231,21 @@ let test_corrupt_links_rejected () =
   let extra =
     { t with Tracefile.entries = Array.append t.Tracefile.entries [| orphan |] }
   in
-  expect_corrupt "unreachable strand" (fun () -> drive extra)
+  expect_corrupt "unreachable strand" (fun () -> drive extra);
+  (* a second root: the child's entry relabelled as a root strand, every
+     link otherwise intact *)
+  let two_roots =
+    {
+      t with
+      Tracefile.entries =
+        Array.map
+          (fun (e : Tracefile.entry) ->
+            if e.Tracefile.start = Events.S_child then { e with Tracefile.start = Events.S_root }
+            else e)
+          t.Tracefile.entries;
+    }
+  in
+  expect_corrupt "two root strands" (fun () -> drive two_roots)
 
 let () =
   Alcotest.run "pint_replay"

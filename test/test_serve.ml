@@ -377,6 +377,53 @@ let test_daemon_hostile_hello () =
       let stats = Serve_server.stats server in
       check_bool "hostile hellos counted as failed" true (List.assoc "serve.failed" stats = 2.))
 
+(* One write carrying a Hello of an unsupported version, a Data and an
+   End: the reject ends the connection, so the frames queued behind it are
+   never decoded — exactly one framed ['X'], then EOF, and one failed
+   session. *)
+let test_daemon_reject_stops_frames () =
+  let server, join = start_daemon test_config in
+  Fun.protect ~finally:join (fun () ->
+      let addr = Serve_server.sockaddr server in
+      let out =
+        String.concat ""
+          (List.map Serve_proto.encode_client
+             [
+               Serve_proto.Hello { version = 9; shards = 0; predict = 0 };
+               Serve_proto.Data "x";
+               Serve_proto.End;
+             ])
+      in
+      let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+      let replies =
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            Unix.connect fd addr;
+            check_bool "one write" true
+              (Unix.write_substring fd out 0 (String.length out) = String.length out);
+            let frames = Serve_proto.Frames.create () in
+            let buf = Bytes.create 4096 in
+            let rec read_to_eof acc =
+              match Serve_proto.Frames.next frames with
+              | Some payload -> read_to_eof (Serve_proto.decode_server payload :: acc)
+              | None ->
+                  let n = Unix.read fd buf 0 (Bytes.length buf) in
+                  if n = 0 then List.rev acc
+                  else begin
+                    Serve_proto.Frames.feed frames ~len:n (Bytes.to_string buf);
+                    read_to_eof acc
+                  end
+            in
+            read_to_eof [])
+      in
+      (match replies with
+      | [ Serve_proto.Reject _ ] -> ()
+      | l -> Alcotest.failf "expected one reject frame then EOF, got %d frame(s)" (List.length l));
+      check_bool "one failed session" true
+        (List.assoc "serve.failed" (Serve_server.stats server) = 1.))
+
 (* With a 5 s poll, only the wake pipe can deliver a prompt answer: the
    drained lease's [on_done] must bring the Summary, and [stop] must end
    the loop, each in well under a second. *)
@@ -424,5 +471,6 @@ let () =
           Alcotest.test_case "hostile hello rejected, daemon survives" `Quick
             test_daemon_hostile_hello;
           Alcotest.test_case "drained lease wakes the loop" `Quick test_daemon_wakeup;
+          Alcotest.test_case "reject stops the frame loop" `Quick test_daemon_reject_stops_frames;
         ] );
     ]
